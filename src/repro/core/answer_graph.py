@@ -7,13 +7,17 @@ graph (*edge extension*, a predicate scan semijoined with the bound node
 sets), and nodes that fail to extend are removed with removals cascading
 backwards through previously materialized edges (*node burnback*).
 
-Spark realization: per-variable node sets are single-column DataFrames;
-extension and burnback are ``left_semi`` joins; cascading is run in
-*sweeps* (forward in plan order, then backward, …). For a tree CQ a
-forward + backward + forward sequence reaches the full semijoin
-reduction — the **ideal answer graph** (iAG). For cyclic CQs sweeps
-monotonically shrink toward the node-burnback fixpoint (reachable with
-``to_fixpoint=True``); any prefix of sweeps is sound — no edge that
+Spark realization: extension and burnback are broadcast ``left_semi``
+joins of an edge relation with one column of a neighbouring relation.
+The extension pass runs in plan order. For a tree CQ the plan order
+induces a rooted join tree — an edge's parent is the most recent earlier
+edge bound to their shared variable — and node burnback is one bottom-up
+and one top-down pass of single-sided semijoins along it: the Yannakakis
+full reducer, whose result is the full semijoin reduction, the **ideal
+answer graph** (iAG). For cyclic CQs burnback runs in *sweeps* (backward,
+forward, …) that semijoin both endpoints of every edge and monotonically
+shrink toward the node-burnback fixpoint (reachable with
+``to_fixpoint=True``). Any prefix of passes is sound — no edge that
 participates in an embedding is ever removed — so phase 2 stays correct
 regardless of convergence, exactly as in the paper where node burnback
 alone leaves a correct but possibly non-ideal AG.
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from py4j.protocol import Py4JError
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -50,7 +55,7 @@ class AnswerGraph:
     order: tuple[int, ...]
     extension_walks: dict[int, int] = field(default_factory=dict)
     sweeps_run: int = 0
-    _persisted: list[DataFrame] = field(default_factory=list)
+    _checkpoints: list = field(default_factory=list)  # JVM RDDs to release
 
     def edge_counts(self) -> dict[int, int]:
         """Materialized size of each reduced edge relation.
@@ -89,32 +94,33 @@ class AnswerGraph:
             out = out.unionByName(p)
         return out.distinct().count()
 
-    def node_set(self, var: str) -> DataFrame:
-        """Current candidate nodes for ``var`` (from any incident edge)."""
-        i = self.query.incident(var)[0]
-        return self.edges[i].select(var).distinct()
-
     def persist(self, df: DataFrame) -> DataFrame:
         """Cache *and truncate the lineage of* an intermediate relation.
 
-        Burnback is iterative; without truncation every sweep multiplies
-        the logical-plan tree (each edge references the previous sweep's
-        relations of all its neighbours) and Catalyst analysis time grows
-        exponentially with the sweep count. ``localCheckpoint`` replaces
+        Burnback is iterative; without truncation every pass multiplies
+        the logical-plan tree (each edge references the previous pass's
+        relations of its neighbours) and Catalyst analysis time grows
+        exponentially with the pass count. ``localCheckpoint`` replaces
         the plan with a cached-RDD leaf; ``eager=False`` keeps laziness so
         untimed work is never forced early.
         """
         out = df.localCheckpoint(eager=False)
-        self._persisted.append(out)
+        self._checkpoints.append(out._jdf.queryExecution().logical().rdd())
         return out
 
     def unpersist(self) -> None:
-        for df in self._persisted:
+        """Release every checkpointed relation; call after the last action.
+
+        ``DataFrame.unpersist`` does nothing on a ``localCheckpoint``: the
+        cache belongs to the RDD behind the plan's ``LogicalRDD`` leaf, so
+        that RDD is unpersisted. The AG's relations are unusable after.
+        """
+        for rdd in self._checkpoints:
             try:
-                df.unpersist()
-            except Exception:  # noqa: BLE001 - cache already dropped
+                rdd.unpersist(False)
+            except Py4JError:  # the session stopped and took its caches
                 pass
-        self._persisted.clear()
+        self._checkpoints.clear()
 
 
 def _scan(triples: DataFrame, query: QueryGraph, i: int) -> DataFrame:
@@ -124,33 +130,79 @@ def _scan(triples: DataFrame, query: QueryGraph, i: int) -> DataFrame:
     )
 
 
-def _semi(df: DataFrame, node_set: DataFrame, var: str) -> DataFrame:
-    """Semijoin with a node set. Node sets are bounded by the AG size —
-    the very quantity the paper shows to be tiny — so they are broadcast
-    explicitly: burnback never shuffles the edge relations. (The session
-    disables *automatic* broadcasting so the baselines' large data-data
-    joins exercise the shuffle path; this hint is the WF operator design,
-    not a global setting.)"""
-    return df.join(F.broadcast(node_set), on=var, how="left_semi")
+def _semi(df: DataFrame, other: DataFrame, var: str) -> DataFrame:
+    """Semijoin with the ``var`` column of another AG relation. AG
+    relations are bounded by the AG size — the very quantity the paper
+    shows to be tiny — so the column is broadcast explicitly: burnback
+    never shuffles the edge relations. It is not deduplicated: a
+    broadcast ``left_semi`` join tolerates duplicate keys, and a
+    ``distinct`` would cost a shuffle job per step. (The session disables
+    *automatic* broadcasting so the baselines' large data-data joins
+    exercise the shuffle path; this hint is the WF operator design, not a
+    global setting.) The join moves ``var`` to the front; the select
+    restores ``df``'s column order."""
+    return df.join(F.broadcast(other.select(var)), on=var, how="left_semi").select(
+        *df.columns
+    )
 
 
 def _sweep(
     ag: AnswerGraph,
     indices: list[int],
-    nodes: dict[str, DataFrame],
+    bound: dict[str, DataFrame],
+    walks: dict[int, int] | None = None,
 ) -> None:
-    """One burnback sweep: semijoin every edge with the current node sets
-    and propagate the shrunken endpoint sets (the cascade)."""
+    """One two-sided pass: semijoin every edge with the relation last
+    bound to each of its variables, then bind both variables to the
+    result (the cascade). ``walks``, if given, receives each edge's size."""
     for i in indices:
         e = ag.query.edges[i]
         df = ag.edges[i]
         for v in e.vars():
-            if v in nodes:
-                df = _semi(df, nodes[v], v)
+            if v in bound:
+                df = _semi(df, bound[v], v)
         df = ag.persist(df)
         ag.edges[i] = df
+        if walks is not None:
+            walks[i] = df.count()
         for v in e.vars():
-            nodes[v] = df.select(v).distinct()
+            bound[v] = df
+
+
+def _reduce_tree(ag: AnswerGraph, passes: int) -> None:
+    """Node burnback on a tree CQ: the Yannakakis full reducer.
+
+    The join tree is the one the plan order induces: an edge's parent is
+    the most recent earlier edge bound to their shared variable (the
+    relation it was extended from). Pass 1 semijoins each edge with its
+    children, leaves first; pass 2 semijoins each edge with its reduced
+    parent, root first. After both, every data edge left in the AG takes
+    part in some embedding.
+    """
+    parent: dict[int, tuple[int, str]] = {}
+    last: dict[str, int] = {}
+    for i in ag.order:
+        vs = ag.query.edges[i].vars()
+        for v in vs:
+            if v in last:
+                parent[i] = (last[v], v)
+        for v in vs:
+            last[v] = i
+    if passes >= 1:  # bottom-up
+        for i in reversed(ag.order):
+            kids = [(c, v) for c, (p, v) in parent.items() if p == i]
+            if kids:
+                df = ag.edges[i]
+                for c, v in kids:
+                    df = _semi(df, ag.edges[c], v)
+                ag.edges[i] = ag.persist(df)
+        ag.sweeps_run += 1
+    if passes >= 2:  # top-down
+        for i in ag.order:
+            if i in parent:
+                p, v = parent[i]
+                ag.edges[i] = ag.persist(_semi(ag.edges[i], ag.edges[p], v))
+        ag.sweeps_run += 1
 
 
 def build_answer_graph(
@@ -166,44 +218,39 @@ def build_answer_graph(
     """Run phase 1 and return the (persisted) answer graph.
 
     ``order`` must be a connected left-deep order (defaults to textual
-    order). ``sweeps`` counts *additional* full sweeps after the initial
-    forward extension pass (default: 2 for trees — provably the iAG — and
-    3 for cyclic queries). ``to_fixpoint`` iterates until edge counts stop
-    changing (the true node-burnback fixpoint; costs one count per edge
-    per sweep). ``instrument`` records per-edge extension sizes — the
-    paper's *edge walks* — during the first pass.
+    order). ``sweeps`` counts burnback passes after the extension pass;
+    0 means extension only. Trees default to 2, the bottom-up and
+    top-down passes of the full reducer, which give the iAG; more passes
+    would change nothing, so they are not run, and neither is a
+    ``to_fixpoint`` loop. Cyclic queries default to 3 two-sided sweeps,
+    and ``to_fixpoint`` iterates them until edge counts stop changing
+    (the true node-burnback fixpoint; one job per sweep). ``instrument``
+    records per-edge extension sizes — the paper's *edge walks* — during
+    the extension pass.
     """
     k = len(query.edges)
     order = tuple(order) if order is not None else tuple(range(k))
     if not query.is_connected_order(list(order)):
         raise ValueError(f"not a connected left-deep order for {query.name}: {order}")
 
-    ag = AnswerGraph(query, {}, order)
-    nodes: dict[str, DataFrame] = {}
+    ag = AnswerGraph(query, {i: _scan(triples, query, i) for i in order}, order)
+    bound: dict[str, DataFrame] = {}
 
-    # Initial forward pass: interleaved edge extension + node burnback.
-    for i in order:
-        e = query.edges[i]
-        df = _scan(triples, query, i)
-        for v in e.vars():
-            if v in nodes:
-                df = _semi(df, nodes[v], v)
-        df = ag.persist(df)
-        ag.edges[i] = df
-        if instrument:
-            ag.extension_walks[i] = df.count()
-        for v in e.vars():
-            nodes[v] = df.select(v).distinct()
+    # Edge extension in plan order, with interleaved forward burnback.
+    _sweep(ag, list(order), bound, ag.extension_walks if instrument else None)
     ag.sweeps_run = 1
 
-    if sweeps is None:
-        sweeps = 2 if query.is_tree() else 3
+    if query.is_tree():
+        _reduce_tree(ag, 2 if sweeps is None else sweeps)
+        return ag
 
+    if sweeps is None:
+        sweeps = 3
     if to_fixpoint:
         prev = tuple(sorted(ag.edge_counts().items()))
         backward = True
         for _ in range(max_sweeps):
-            _sweep(ag, list(reversed(order)) if backward else list(order), nodes)
+            _sweep(ag, list(reversed(order)) if backward else list(order), bound)
             ag.sweeps_run += 1
             backward = not backward
             cur = tuple(sorted(ag.edge_counts().items()))
@@ -213,7 +260,7 @@ def build_answer_graph(
     else:
         directions = [list(reversed(order)), list(order)]
         for s in range(sweeps):
-            _sweep(ag, directions[s % 2], nodes)
+            _sweep(ag, directions[s % 2], bound)
             ag.sweeps_run += 1
     return ag
 
@@ -307,9 +354,9 @@ def edge_burnback(
             ag.edges[i] = sides[key].select(e.src, e.dst)
 
     # node burnback re-cascade with the shrunken node sets
-    nodes = {v: ag.node_set(v) for v in query.variables}
+    bound = {v: ag.edges[query.incident(v)[0]] for v in query.variables}
     for _ in range(2):
-        _sweep(ag, list(ag.order), nodes)
-        _sweep(ag, list(reversed(ag.order)), nodes)
+        _sweep(ag, list(ag.order), bound)
+        _sweep(ag, list(reversed(ag.order)), bound)
         ag.sweeps_run += 2
     return ag

@@ -87,13 +87,6 @@ def run(
     return run_
 
 
-def wireframe_embeddings(
-    triples: DataFrame, query: QueryGraph, catalog: Catalog, **kw
-) -> DataFrame:
-    """Convenience: just the embedding DataFrame (used by tests/oracle)."""
-    return run(triples, query, catalog, **kw).embedding_df
-
-
 def count_embeddings(
     triples: DataFrame, query: QueryGraph, catalog: Catalog, **kw
 ) -> int:

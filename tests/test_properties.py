@@ -104,3 +104,75 @@ def test_wireframe_matches_duckdb_on_random_graphs(spark, pdf, q):
     con.register("triples", pdf)
     expect = con.execute(f"SELECT COUNT(*) FROM ({q.to_sql()})").fetchone()[0]
     assert count_embeddings(triples, q, cat) == expect
+
+
+@st.composite
+def trees_with_orders(draw) -> tuple[QueryGraph, tuple[int, ...]]:
+    """A random tree query and a random connected left-deep order of it."""
+    q = draw(tree_queries())
+    order = [draw(st.integers(0, len(q.edges) - 1))]
+    bound = set(q.edges[order[0]].vars())
+    while len(order) < len(q.edges):
+        nxt = [
+            i
+            for i, e in enumerate(q.edges)
+            if i not in order and set(e.vars()) & bound
+        ]
+        order.append(draw(st.sampled_from(nxt)))
+        bound |= set(q.edges[order[-1]].vars())
+    return q, tuple(order)
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=list(HealthCheck))
+@given(pdf=data_graphs(), q_order=trees_with_orders())
+def test_tree_ag_is_ideal_on_random_graphs(spark, pdf, q_order):
+    """For a tree CQ the AG is the iAG: each edge relation is exactly the
+    projection of the embeddings onto that edge, whatever the plan order,
+    and running to the fixpoint changes nothing."""
+    from repro.core.answer_graph import build_answer_graph
+
+    q, order = q_order
+    triples = spark.createDataFrame(pdf)
+    con = duckdb.connect()
+    con.register("triples", pdf)
+    ag = build_answer_graph(triples, q, order)
+    fix = build_answer_graph(triples, q, order, to_fixpoint=True)
+    try:
+        for i, e in enumerate(q.edges):
+            iag = set(
+                con.execute(
+                    f"SELECT DISTINCT {e.src}, {e.dst} FROM ({q.to_sql()})"
+                ).fetchall()
+            )
+            for built in (ag, fix):
+                got = {tuple(r) for r in built.edges[i].select(e.src, e.dst).collect()}
+                assert got == iag, (order, i)
+    finally:
+        ag.unpersist()
+        fix.unpersist()
+
+
+@st.composite
+def four_cycle_queries(draw) -> QueryGraph:
+    """Random 4-cycle query v0-v1-v2-v3-v0 with random labels/directions."""
+    edges = []
+    for i in range(4):
+        a, b = f"v{i}", f"v{(i + 1) % 4}"
+        label = draw(st.sampled_from(PREDS))
+        edges.append(QueryEdge(b, label, a) if draw(st.booleans()) else QueryEdge(a, label, b))
+    return QueryGraph(tuple(edges), name="cyc")
+
+
+@settings(max_examples=5, deadline=None, suppress_health_check=list(HealthCheck))
+@given(pdf=data_graphs(), q=four_cycle_queries())
+def test_cyclic_wireframe_matches_duckdb_on_random_graphs(spark, pdf, q):
+    from repro.core.catalog import build_catalog
+    from repro.core.wireframe import count_embeddings
+
+    triples = spark.createDataFrame(pdf)
+    cat = build_catalog(triples)
+    con = duckdb.connect()
+    con.register("triples", pdf)
+    expect = con.execute(f"SELECT COUNT(*) FROM ({q.to_sql()})").fetchone()[0]
+    assert count_embeddings(triples, q, cat) == expect
+    assert count_embeddings(triples, q, cat, use_edge_burnback=True) == expect

@@ -1,6 +1,8 @@
 """End-to-end WIREFRAME: correctness vs oracle, factorization invariants."""
 from __future__ import annotations
 
+import uuid
+
 import duckdb
 import pytest
 
@@ -109,3 +111,30 @@ def test_count_embeddings_repeatable(triples, catalog):
     a = wireframe.count_embeddings(triples, DIAMONDS[0], catalog)
     b = wireframe.count_embeddings(triples, DIAMONDS[0], catalog)
     assert a == b > 0
+
+
+def test_count_embeddings_releases_caches(spark, triples, catalog):
+    """Every checkpointed AG relation is released after the final count.
+    Compared as id sets: Spark's cleaner may free older RDDs meanwhile."""
+    jsc = spark.sparkContext._jsc
+
+    def cached() -> set[int]:
+        return set(jsc.getPersistentRDDs().keySet().toArray())
+
+    before = cached()
+    wireframe.count_embeddings(triples, SNOWFLAKES[0], catalog)
+    assert cached() - before == set()
+
+
+def test_snowflake_job_budget(spark, triples, catalog):
+    """S1 runs in at most 40 Spark jobs (36: one broadcast job per
+    semijoin and per defactorization join, plus the counts), so per-step
+    shuffle jobs cannot creep back into phase 1 unnoticed."""
+    sc = spark.sparkContext
+    group = f"job-budget-{uuid.uuid4().hex[:8]}"
+    sc.setJobGroup(group, "S1 job budget")
+    try:
+        wireframe.count_embeddings(triples, SNOWFLAKES[0], catalog)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 40
